@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test race chaos fuzz-seeds bench bench-baseline bench-tcp bench-tcp-baseline bench-all smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api api-check ci
+.PHONY: all fmt vet build test race chaos fuzz-seeds bench bench-baseline bench-tcp bench-tcp-baseline bench-all smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api api-check perfbench-check ci
 
 all: ci
 
@@ -28,7 +28,7 @@ race:
 
 # Fault-injection and abort-path suites only, plus the stpbench sweep.
 chaos:
-	$(GO) test -race -timeout 4m -run 'Chaos|Abort|Deadline|Timeout|Cancel|DialRetry|DialPermanent|MidRunConnection' ./internal/faults/ ./internal/live/ ./internal/tcp/ .
+	$(GO) test -race -timeout 4m -run 'Chaos|Abort|Deadline|Timeout|Cancel|DialRetry|DialPermanent|MidRunConnection' ./internal/faults/ ./internal/rt/ ./internal/live/ ./internal/tcp/ .
 	$(GO) run ./cmd/stpbench -chaos
 
 # Replay the checked-in fuzz seed corpora (no fuzzing time budget).
@@ -118,4 +118,11 @@ api:
 api-check:
 	$(GO) run ./cmd/stpapi -dir . -check api/stpbcast.txt
 
-ci: fmt vet build race fuzz-seeds smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api-check bench-tcp
+# The benchmark module (perfbench/) is its own Go module, so `go test
+# ./...` never reaches it, yet it imports internal/live and internal/tcp:
+# vet and test it on its own so an engine API change cannot break it
+# unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+ci: fmt vet build race fuzz-seeds smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api-check bench-tcp perfbench-check

@@ -6,7 +6,7 @@ package comm
 // soon as the receiver drops them and the queue's memory footprint is
 // bounded by its high-water mark rather than by total traffic. The zero
 // value is an empty queue. Queue is not safe for concurrent use; callers
-// (the live and tcp mailboxes) hold their own locks.
+// (internal/rt's inboxes) hold their own locks.
 type Queue struct {
 	buf  []Message // len(buf) is a power of two (or nil)
 	head int

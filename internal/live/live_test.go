@@ -2,7 +2,6 @@ package live
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -295,39 +294,6 @@ func TestBarrierStallDeadline(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "barrier") || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("barrier stall error: %v", err)
-	}
-}
-
-func TestRunTimeoutAborts(t *testing.T) {
-	start := time.Now()
-	_, err := RunOpts(2, Options{RunTimeout: 100 * time.Millisecond}, func(p *Proc) {
-		p.Recv(1 - p.Rank()) // mutual hang: nobody ever sends
-	})
-	if err == nil {
-		t.Fatal("run deadline not enforced")
-	}
-	if !strings.Contains(err.Error(), "run exceeded") {
-		t.Fatalf("run-deadline error: %v", err)
-	}
-	if d := time.Since(start); d > 3*time.Second {
-		t.Fatalf("run-deadline abort took %v", d)
-	}
-}
-
-func TestContextCancelAborts(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	_, err := RunOpts(2, Options{Context: ctx}, func(p *Proc) {
-		p.Recv(1 - p.Rank())
-	})
-	if err == nil {
-		t.Fatal("cancellation not enforced")
-	}
-	if !strings.Contains(err.Error(), "canceled") {
-		t.Fatalf("cancel error: %v", err)
 	}
 }
 

@@ -53,8 +53,10 @@ type Event struct {
 	// Clock is the virtual time at which the operation completed
 	// (simulator only).
 	Clock network.Time `json:"clock,omitempty"`
-	// Arrival is the virtual arrival instant of the received message
-	// (simulator receives only).
+	// Arrival is the instant the received message arrived, in the
+	// event's clock: virtual on the simulator, wall-clock nanoseconds
+	// since the run started on the live and tcp engines (receives and
+	// waits only).
 	Arrival network.Time `json:"arrival,omitempty"`
 	// Wall is the wall-clock time at which the operation completed, in
 	// nanoseconds since the run started (live and tcp engines, faults).

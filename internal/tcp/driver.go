@@ -5,6 +5,7 @@ import (
 	"net"
 
 	"repro/internal/comm"
+	"repro/internal/rt"
 )
 
 // The k-ported send path (Options.Ports > 0): Send enqueues frames onto
@@ -71,7 +72,7 @@ func (p *Proc) enqueue(dst int, m comm.Message) {
 			done: make(chan struct{}),
 		}
 		p.drivers[dst] = d
-		go p.drive(dst, conn, d, p.rs)
+		go p.drive(dst, conn, d, p.Current())
 	}
 	d.q <- m
 }
@@ -80,7 +81,7 @@ func (p *Proc) enqueue(dst int, m comm.Message) {
 // transmission burst. After a write failure it records the fault,
 // aborts the run, and keeps draining so the owning rank never blocks
 // on a dead link's full queue.
-func (p *Proc) drive(dst int, conn net.Conn, d *linkDriver, rs *runState) {
+func (p *Proc) drive(dst int, conn net.Conn, d *linkDriver, rs *rt.Run) {
 	defer close(d.done)
 	sc := getScratch()
 	defer putScratch(sc)
@@ -94,7 +95,7 @@ func (p *Proc) drive(dst int, conn net.Conn, d *linkDriver, rs *runState) {
 			continue
 		}
 		p.portSem <- struct{}{}
-		err := writeFrameTo(conn, rs.epoch, m, sc)
+		err := writeFrameTo(conn, rs.Epoch, m, sc)
 		for n := 0; err == nil && n < driverBurst; n++ {
 			var more bool
 			select {
@@ -103,7 +104,7 @@ func (p *Proc) drive(dst int, conn net.Conn, d *linkDriver, rs *runState) {
 					<-p.portSem
 					return
 				}
-				err = writeFrameTo(conn, rs.epoch, m, sc)
+				err = writeFrameTo(conn, rs.Epoch, m, sc)
 			default:
 				n = driverBurst
 			}
@@ -120,15 +121,15 @@ func (p *Proc) drive(dst int, conn net.Conn, d *linkDriver, rs *runState) {
 // the owning rank, poison its inbox (a rank blocked in Recv must learn
 // its own link died, not just that "the machine aborted"), and tear the
 // run down so every peer unwinds.
-func (p *Proc) driveFail(dst int, err error, rs *runState) {
+func (p *Proc) driveFail(dst int, err error, rs *rt.Run) {
 	ferr := fmt.Errorf("link driver send to %d: %w", dst, err)
-	if rs.aborted.Load() {
+	if rs.Aborted() {
 		// The mesh was already down; this write error is secondary.
-		ferr = &abortError{cause: ferr}
+		ferr = &rt.AbortError{Cause: ferr}
 	}
 	p.derr.CompareAndSwap(nil, &driverFault{err: ferr})
-	p.in.fail(p.st, rs, ferr)
-	p.st.abort(rs, &abortError{cause: fmt.Errorf("machine aborted: rank %d link driver to %d failed", p.rank, dst)})
+	p.m.r.Inbox(p.Rank()).Fail(rs, ferr)
+	p.m.r.Abort(rs, &rt.AbortError{Cause: fmt.Errorf("machine aborted: rank %d link driver to %d failed", p.Rank(), dst)})
 }
 
 // stopDrivers closes every driver queue and joins the goroutines, so

@@ -62,7 +62,7 @@ func MeasureKPortRate(ports, fanout, payloadBytes, framesPerLink int, perFrame t
 	payload := make([]byte, payloadBytes)
 	msg := comm.Message{Parts: []comm.Part{{Origin: 0, Data: payload}}}
 	res, err := m.Run(Options{Ports: ports, RecvTimeout: time.Minute}, func(pr *Proc) {
-		if pr.rank == 0 {
+		if pr.Rank() == 0 {
 			for f := 0; f < framesPerLink; f++ {
 				for j := 1; j <= fanout; j++ {
 					pr.Send(j, msg)

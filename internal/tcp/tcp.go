@@ -1,101 +1,55 @@
-// Package tcp executes an algorithm over real TCP sockets: every
-// processor owns a loopback listener, peers are connected with one TCP
-// connection per processor pair — the full O(p²) mesh by default, or
-// only the route-derived sparse link set when Options.Links is given —
-// and messages travel as length-prefixed frames. It is the
-// distributed-transport engine of the
-// repro hint ("channels/gRPC approximation" of MPI): where internal/live
-// approximates message passing with in-process mailboxes, this engine
-// moves every byte through the kernel's network stack, exercising the
-// same algorithm code over a transport with real serialization.
-//
-// Semantics match the other engines: blocking Send/Recv with FIFO order
-// per (sender, receiver) pair, and a Barrier (dissemination barrier over
-// the same transport). Barrier frames travel on the same sockets but are
-// demultiplexed by tag and metered separately, so ProcStats counts agree
-// with the live engine for the same algorithm.
+// Package tcp is the socket transport of the real-byte runtime
+// (internal/rt): every processor owns a listener, peers are connected by
+// TCP — the full O(p²) mesh by default, or only the route-derived sparse
+// link set when Options.Links is given — and messages travel as
+// length-prefixed frames through the kernel's network stack. rt supplies
+// the run lifecycle, inboxes, barrier and counters; this package keeps
+// framing, the buffer arena, the reader pumps, run epochs, dialing,
+// batching and the k-ported link drivers. Barrier tokens are frames with
+// a reserved tag on the same sockets, demultiplexed by the pumps.
 //
 // # Sessions
 //
-// Building the machine is expensive — p listeners, an O(p²) dialed mesh
-// with handshakes and retry, and one reader pump per connection end — so
-// the engine separates setup from execution. NewMachine stands the mesh
-// up once; Machine.Run executes one algorithm over the warm connections
-// and may be called many times back to back; Machine.Close tears
-// everything down. Run/RunOpts remain as one-shot open-run-close
-// wrappers, preserving the historical API.
+// NewMachine stands the mesh up once — listeners, dialed connections
+// with handshakes and retry, one reader pump per connection end;
+// Machine.Run executes one algorithm over the warm connections and may
+// be called many times; Machine.Close tears everything down. Every frame
+// carries its run's epoch and the pumps drop frames of any other epoch,
+// so nothing from an aborted run reaches the next one.
 //
-// Run isolation is by epoch: every frame carries the epoch of the run
-// that sent it, the reader pumps discard frames whose epoch is not the
-// current run's (or that arrive between runs), and each run starts from
-// mailboxes wiped of the previous run's leftovers. A broadcast that
-// aborts — panic, injected kill, deadline — can therefore never leak a
-// frame, a poisoned mailbox, or a stale barrier token into the next run.
-//
-// An abort closes the mesh; the session survives it. The next Run
-// notices the damage, joins the orphaned reader pumps, and redials the
-// planned link set — the sparse one when the machine was built with
-// Options.Links, the full mesh otherwise — over the still-open listeners
-// (counted in Reconnects), so a killed connection costs one failed run
-// plus one reconnect, not the session, and a sparse machine never pays
-// for connections its schedule does not use.
+// An abort closes the mesh; the session survives it. The next Run joins
+// the orphaned pumps and redials the planned link set over the still-open
+// listeners (counted in Reconnects). A connection closing during Close
+// or between runs is not an error; mid-run it is the root cause reported
+// by the receiver on that link. Transient dial failures are retried with
+// exponential backoff (Options.DialAttempts / DialBackoff).
 //
 // # Sparse mesh and k-ported drivers
 //
-// The paper's algorithms send along a schedule's logical links, a set
-// that grows like p·log p — not p². Options.Links (a setup field) lists
-// those directed (src,dst) links; NewMachine then materializes only the
-// connections they need, multiplexing both directions of a peer pair
-// (and every logical link between that pair) over one shared TCP
-// connection. A send over a link that was not planned falls back to a
-// lazy on-demand dial with the same retry/backoff as setup, so sparse
-// planning is a performance contract, not a correctness one. Every rank
-// keeps a persistent acceptor, and registration waits until both
-// endpoints of a pair are installed, so two ranks racing to open the
-// same pair always converge on one connection.
+// With Options.Links, NewMachine materializes only the connections those
+// directed links need, multiplexing both directions of a peer pair over
+// one connection. A send over an unplanned link falls back to a lazy
+// on-demand dial with the same retry, so sparse planning is a
+// performance contract, not a correctness one. Every rank keeps a
+// persistent acceptor, and registration waits until both endpoints of a
+// pair are installed, so two ranks racing to open one pair converge on
+// one connection.
+//
+// Options.Ports routes sends through per-destination driver goroutines
+// with bounded queues, and a semaphore of k port tokens bounds how many
+// links a rank drives at once — the engine's model of the paper's
+// k-ported nodes.
 //
 // # Worker machines (cluster partitioning)
 //
-// NewWorkerMachine builds the partial machine one cluster worker
-// process owns: listeners, procs and reader pumps for a contiguous rank
-// range [lo,hi) only, with Options.ListenHost choosing the bind
-// address. The coordinator (internal/cluster) collects every worker's
-// LocalAddrs, distributes the merged rank→address map, and drives
-// ConnectMesh so each planned pair is dialed by the worker owning its
-// higher rank — the same frame protocol, handshake and registration
-// path as the single-process mesh, now across OS processes. Runs start
-// with a coordinator-assigned Options.Epoch and an Options.StartGate
-// rendezvous so every worker's mailboxes are armed before the first
-// frame flies; a broken mesh is rebuilt by the coordinator (ResetMesh
-// then ConnectMesh on every worker), never by one worker on its own.
-//
-// Options.Ports (a run field) adds the k-ported send path modeled after
-// the paper's multi-channel routers: each rank drives its outbound
-// links through per-destination driver goroutines with bounded queues,
-// and a semaphore of k port tokens bounds how many links transmit
-// concurrently. Ports=1 serializes transmissions like a one-port node;
-// Ports=k overlaps up to k links, which is what the k-ported broadcast
-// schedules in the registry exploit.
-//
-// # Failure semantics
-//
-// Run never hangs when a deadline is configured; every failure becomes a
-// returned error:
-//
-//   - A processor panics: the run aborts, all connections are closed,
-//     every peer blocked in Recv or Barrier unwinds, and Run reports the
-//     panicking rank as the root cause.
-//   - A connection fails mid-run: the affected receiver reports the
-//     broken link as the root cause; everyone else unwinds. A connection
-//     closing during teardown (Close) or between runs is not an error —
-//     the next Run rebuilds the mesh.
-//   - A blocking Recv or Barrier wait exceeds Options.RecvTimeout: the
-//     stalled rank aborts the run with an error naming itself and the
-//     awaited peer.
-//   - Options.Context is canceled or Options.RunTimeout elapses: the run
-//     aborts with the cancellation cause.
-//   - A transient dial failure during setup is retried with exponential
-//     backoff (Options.DialAttempts / DialBackoff) before it is fatal.
+// NewWorkerMachine builds the partial machine one cluster worker process
+// owns: listeners, procs and pumps for the rank range [lo,hi) only. The
+// coordinator (internal/cluster) merges every worker's LocalAddrs and
+// drives ConnectMesh, so each planned pair is dialed by the worker owning
+// its higher rank. Runs use a coordinator-assigned Options.Epoch and an
+// Options.StartGate rendezvous, and a broken mesh is rebuilt by the
+// coordinator (ResetMesh, then ConnectMesh on every worker), never by one
+// worker on its own.
 package tcp
 
 import (
@@ -112,8 +66,8 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/network"
 	"repro/internal/obs"
+	"repro/internal/rt"
 )
 
 // frame layout: [epoch uint32][tag int32][nparts int32] then per part
@@ -148,25 +102,18 @@ const (
 	handshakeTimeout = 10 * time.Second
 )
 
-// Options harden a run. The zero value preserves the historical
-// behaviour (no deadlines, no cancellation, default dial retry).
+// Options configure a machine and its runs. The zero value applies no
+// deadlines and the default dial retry.
 //
-// With the session API the fields split by lifetime: NewMachine consumes
-// the setup fields (Dial, DialAttempts, DialBackoff) and remembers them
-// for mesh rebuilds; Machine.Run consumes the run fields (Context,
-// RunTimeout, RecvTimeout, Tracer) afresh on every call, so successive
-// runs over one machine can use different deadlines and tracers. The
-// one-shot RunOpts passes the same Options to both.
+// The fields split by lifetime: NewMachine consumes the setup fields
+// (Dial, DialAttempts, DialBackoff, Links, ListenHost, DisableNoDelay)
+// and remembers them for mesh rebuilds; Machine.Run consumes the run
+// fields afresh on every call. Context, RunTimeout, RecvTimeout and
+// Tracer are rt.Options, documented there; Context also cancels setup.
+// The one-shot RunOpts passes the same Options to both.
 type Options struct {
-	// Context, when non-nil, cancels the run (setup backoff waits and
-	// the algorithm phase): blocked processors unwind and Run returns
-	// an error carrying ctx.Err().
-	Context context.Context
-	// RunTimeout, when positive, bounds the algorithm phase.
-	RunTimeout time.Duration
-	// RecvTimeout, when positive, bounds any single blocking Recv or
-	// Barrier wait; exceeding it aborts the run with an error naming
-	// the blocked rank and the peer it waited on.
+	Context     context.Context
+	RunTimeout  time.Duration
 	RecvTimeout time.Duration
 	// DialAttempts is the number of connection attempts per peer during
 	// setup (0 means the default of 3); transient dial failures are
@@ -235,28 +182,14 @@ type Options struct {
 	// paper's k-ported nodes. Ports=0 keeps the historical inline write
 	// path. Mutually exclusive with FlushThreshold (the driver queue is
 	// already the coalescing point).
-	Ports int
-	// Tracer, when non-nil, receives an obs.Event for every send, recv,
-	// wait (a receive that had to block) and barrier, stamped with
-	// wall-clock nanoseconds since the run started. The reader pumps
-	// additionally stamp each data frame's arrival instant, so a traced
-	// Recv carries Arrival — the time the frame reached this rank's
-	// inbox — separating network latency from receiver lag. Events
-	// arrive from all rank goroutines concurrently; the tracer must be
-	// safe for concurrent use (trace.Recorder is).
+	Ports  int
 	Tracer obs.Tracer
 }
 
-// abortError poisons inboxes when the machine fails. external marks
-// context/deadline aborts (reported as root causes); otherwise the
-// error is a secondary unwind of a failure first reported elsewhere.
-type abortError struct {
-	cause    error
-	external bool
+// run returns the run fields the shared runtime consumes.
+func (o Options) run() rt.Options {
+	return rt.Options{Context: o.Context, RunTimeout: o.RunTimeout, RecvTimeout: o.RecvTimeout, Tracer: o.Tracer}
 }
-
-func (e *abortError) Error() string { return e.cause.Error() }
-func (e *abortError) Unwrap() error { return e.cause }
 
 // frameWireSize returns the encoded size of m on the wire.
 func frameWireSize(m comm.Message) int {
@@ -423,210 +356,13 @@ func writeFrameSeq(w io.Writer, epoch uint32, m comm.Message) error {
 	return nil
 }
 
-// runState is the per-run half of the machine: epoch, tracer and clock
-// zero point, plus the abort latch. The reader pumps load it through
-// state.run on every frame, so everything a pump needs to attribute or
-// discard a frame is reached through one atomic pointer.
-type runState struct {
-	epoch   uint32
-	tr      obs.Tracer
-	start   time.Time // zero point of traced Wall stamps
-	aborted atomic.Bool
-	// ctx is the run's context (nil when the run has none): lazy dials
-	// triggered by this run's sends bound their backoff waits and
-	// endpoint waits by it, so a canceled run unwinds promptly instead
-	// of sitting out handshakeTimeout inside ensureLink.
-	ctx context.Context
-}
-
-// wall returns nanoseconds since the run started.
-func (rs *runState) wall() int64 { return time.Since(rs.start).Nanoseconds() }
-
-// wallIfTraced returns wall() on traced runs and 0 otherwise, so untraced
-// hot paths skip the clock read.
-func (rs *runState) wallIfTraced() int64 {
-	if rs.tr == nil {
-		return 0
-	}
-	return rs.wall()
-}
-
-// inbox is one processor's receive side: per-source data FIFOs plus
-// per-source barrier-frame counters, under one lock. The reader pumps
-// demultiplex by tag, so a queued barrier frame can never be handed to
-// algorithm code (and vice versa). Between runs the inbox is reset;
-// push/pushBarrier/fail revalidate (under the lock) that the run they
-// were read for is still current, which together with the pumps' epoch
-// check makes cross-run frame bleed impossible even when a pump is
-// descheduled between decoding a frame and delivering it.
-type inbox struct {
-	mu sync.Mutex
-	// rank is the owning processor's rank: boxes[rank] holds self-sends,
-	// whose payloads are caller-owned and must never be recycled into
-	// the arena (every other box holds pump-decoded arena buffers).
-	rank     int
-	cond     *sync.Cond
-	boxes    []comm.Queue
-	barriers []int
-	dead     error
-	// arrivals mirrors boxes with per-source FIFO queues of frame-arrival
-	// wall stamps (ns since run start). Allocated only when the run is
-	// traced; nil otherwise, so untraced runs pay nothing.
-	arrivals []tsQueue
-}
-
-// tsQueue is a FIFO of int64 timestamps (slice plus head index; traced
-// runs only, so the modest garbage of the grown slice is acceptable).
-type tsQueue struct {
-	buf  []int64
-	head int
-}
-
-func (q *tsQueue) push(t int64) { q.buf = append(q.buf, t) }
-
-func (q *tsQueue) pop() int64 {
-	if q.head >= len(q.buf) {
-		return 0
-	}
-	t := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return t
-}
-
-// reset wipes the previous run's leftovers: queued frames (pump-decoded
-// ones recycled into the arena, self-sends merely dropped — their
-// payloads are caller-owned), barrier tokens, the poison error, and
-// the arrival stamps (reallocated only when the new run is traced).
-func (ib *inbox) reset(traced bool) {
-	ib.mu.Lock()
-	for i := range ib.boxes {
-		if i == ib.rank {
-			ib.boxes[i].Reset()
-		} else {
-			ib.boxes[i].Drain(recycleMessage)
-		}
-	}
-	for i := range ib.barriers {
-		ib.barriers[i] = 0
-	}
-	ib.dead = nil
-	if traced {
-		ib.arrivals = make([]tsQueue, len(ib.boxes))
-	} else {
-		ib.arrivals = nil
-	}
-	ib.mu.Unlock()
-}
-
-// push enqueues a data frame from src for run rs; ts is the arrival wall
-// stamp, recorded only on traced runs. The frame is dropped if rs is no
-// longer the current run; pooled marks arena-backed frames (pump
-// deliveries) whose storage is then recycled on that drop path.
-func (ib *inbox) push(st *state, rs *runState, src int, m comm.Message, ts int64, pooled bool) {
-	ib.mu.Lock()
-	if st.run.Load() != rs {
-		ib.mu.Unlock()
-		// The run ended while the frame was in flight.
-		if pooled {
-			recycleMessage(m)
-		}
-		return
-	}
-	ib.boxes[src].Push(m)
-	if ib.arrivals != nil {
-		ib.arrivals[src].push(ts)
-	}
-	ib.cond.Broadcast()
-	ib.mu.Unlock()
-}
-
-func (ib *inbox) pushBarrier(st *state, rs *runState, src int) {
-	ib.mu.Lock()
-	if st.run.Load() != rs {
-		ib.mu.Unlock()
-		return
-	}
-	ib.barriers[src]++
-	ib.cond.Broadcast()
-	ib.mu.Unlock()
-}
-
-// fail poisons the inbox for run rs; it is a no-op once rs is stale so a
-// late abort cannot poison the next run's mailbox.
-func (ib *inbox) fail(st *state, rs *runState, err error) {
-	ib.mu.Lock()
-	if st.run.Load() == rs && ib.dead == nil {
-		ib.dead = err
-	}
-	ib.cond.Broadcast()
-	ib.mu.Unlock()
-}
-
-// waitLocked blocks (mu held) until ready, the inbox dies, or the
-// timeout elapses.
-func (ib *inbox) waitLocked(timeout time.Duration, ready func() bool) error {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-		timer := time.AfterFunc(timeout, func() {
-			ib.mu.Lock()
-			ib.cond.Broadcast()
-			ib.mu.Unlock()
-		})
-		defer timer.Stop()
-	}
-	for !ready() {
-		if ib.dead != nil {
-			return ib.dead
-		}
-		if timeout > 0 && !time.Now().Before(deadline) {
-			return fmt.Errorf("blocked %v (receive deadline exceeded)", timeout)
-		}
-		ib.cond.Wait()
-	}
-	return nil
-}
-
-// pop dequeues the next data frame from src, returning its arrival wall
-// stamp (0 when the run is untraced) and whether the caller had to block.
-func (ib *inbox) pop(src int, timeout time.Duration) (comm.Message, int64, bool, error) {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	waited := ib.boxes[src].Len() == 0
-	if err := ib.waitLocked(timeout, func() bool { return ib.boxes[src].Len() > 0 }); err != nil {
-		return comm.Message{}, 0, waited, err
-	}
-	var ts int64
-	if ib.arrivals != nil {
-		ts = ib.arrivals[src].pop()
-	}
-	return ib.boxes[src].Pop(), ts, waited, nil
-}
-
-func (ib *inbox) popBarrier(src int, timeout time.Duration) error {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if err := ib.waitLocked(timeout, func() bool { return ib.barriers[src] > 0 }); err != nil {
-		return err
-	}
-	ib.barriers[src]--
-	return nil
-}
-
-// state is the machine-wide lifecycle shared by all processors and
-// reader pumps. closed marks session teardown (Close); broken marks a
-// damaged mesh (an abort closed the connections — the next Run rebuilds
-// it); run points at the current run, nil between runs, so the pumps can
-// attribute every frame and every read error to the right run — or to
-// none.
+// state is the machine-wide transport state shared by all processors
+// and reader pumps. closed marks session teardown (Close); broken marks
+// a damaged mesh (an abort closed the connections — the next Run
+// rebuilds it).
 type state struct {
-	procs  []*Proc
 	closed atomic.Bool
 	broken atomic.Bool
-	run    atomic.Pointer[runState]
 
 	// connMu guards the connection table — conns (the flat list of every
 	// live endpoint, for teardown) and each Proc's per-peer conns slice.
@@ -651,46 +387,20 @@ func (st *state) closeConns() {
 	st.connMu.Unlock()
 }
 
-// abort fails every inbox of run rs with reason, marks the mesh broken,
-// and closes all connections so blocked readers and writers unwind. The
-// first abort of a run wins; an abort for a stale run still tears the
-// damaged mesh down but cannot poison a newer run's mailboxes.
-func (st *state) abort(rs *runState, reason *abortError) {
-	if rs.aborted.Swap(true) {
-		return
-	}
-	st.broken.Store(true)
-	for _, pr := range st.procs {
-		if pr == nil {
-			continue // a cluster worker owns only its rank range
-		}
-		pr.in.fail(st, rs, reason)
-	}
-	st.closeConns()
-}
-
-// Proc is one processor's handle on the TCP machine. It implements
-// comm.Comm; methods must only be called from the algorithm goroutine,
+// Proc is one processor's handle on the TCP machine: the runtime core
+// (comm.Comm, comm.IterMarker, comm.PhaseMarker) plus the rank's socket
+// transport. Methods must only be called from the algorithm goroutine,
 // during a Machine.Run.
 type Proc struct {
-	rank int
-	size int
+	*rt.Core
 	// conns[peer] is nil at the own rank and on never-established links
 	// (sparse machines dial lazily); guarded by st.connMu — rank
 	// goroutines read through link(), registration writes under the
 	// write lock.
 	conns []net.Conn
 	wmu   []sync.Mutex
-	in    *inbox
 	st    *state
 	m     *Machine // lazy-dial fallback for unplanned links
-
-	// Per-run fields, reset by beginRun under the machine lock (rank
-	// goroutines only live inside Run, so no further synchronization).
-	rs          *runState
-	recvTimeout time.Duration
-	iter        int
-	phase       string
 
 	// Small-frame batching (Options.FlushThreshold > 0): pend[dst]
 	// accumulates encoded frames bound for dst; dirty lists destinations
@@ -710,25 +420,14 @@ type Proc struct {
 	portSem chan struct{}
 	drivers []*linkDriver
 	derr    atomic.Pointer[driverFault]
-
-	sends, recvs               int
-	sendBytes, recvBytes       int64
-	barrierSends, barrierRecvs int
 }
 
-var _ comm.Comm = (*Proc)(nil)
-var _ comm.IterMarker = (*Proc)(nil)
-var _ comm.PhaseMarker = (*Proc)(nil)
-
-// beginRun resets the per-run half of the processor: a wiped inbox,
-// fresh counters, and the new run's state/deadline/batching threshold.
-func (p *Proc) beginRun(rs *runState, recvTimeout time.Duration, flushLimit, ports int) {
-	p.in.reset(rs.tr != nil)
-	p.rs = rs
-	p.recvTimeout = recvTimeout
+// beginRun resets the transport half of the processor for a new run:
+// the batching threshold and the k-ported drivers (rt resets the rest).
+func (p *Proc) beginRun(flushLimit, ports int) {
 	p.flushLimit = flushLimit
 	if flushLimit > 0 && p.pend == nil {
-		p.pend = make([][]byte, p.size)
+		p.pend = make([][]byte, p.Size())
 	}
 	for i := range p.pend {
 		p.pend[i] = p.pend[i][:0] // drop leftovers of an aborted run
@@ -741,29 +440,37 @@ func (p *Proc) beginRun(rs *runState, recvTimeout time.Duration, flushLimit, por
 			p.portSem = make(chan struct{}, ports)
 		}
 		if p.drivers == nil {
-			p.drivers = make([]*linkDriver, p.size)
+			p.drivers = make([]*linkDriver, p.Size())
 		}
 		for i := range p.drivers {
 			p.drivers[i] = nil // stopDrivers already joined the old ones
 		}
 	}
-	p.iter, p.phase = -1, ""
-	p.sends, p.recvs = 0, 0
-	p.sendBytes, p.recvBytes = 0, 0
-	p.barrierSends, p.barrierRecvs = 0, 0
 }
 
-// BeginIter implements comm.IterMarker: traced events carry the iteration.
-func (p *Proc) BeginIter(i int) { p.iter = i }
+// wire is a Proc's rt.Transport. It is a separate type so the transport
+// hooks stay off Proc's method set: algorithm code cannot bypass the
+// core's counters.
+type wire struct{ p *Proc }
 
-// BeginPhase implements comm.PhaseMarker: traced events carry the label.
-func (p *Proc) BeginPhase(name string) { p.phase = name }
+// Send frames m for dst; a self-send short-circuits through the own
+// inbox without copying (the payloads stay the caller's).
+func (w wire) Send(dst int, m comm.Message) {
+	p := w.p
+	if m.Tag == barrierTag {
+		panic(fmt.Sprintf("tcp: rank %d sends message with reserved barrier tag %d", p.Rank(), m.Tag))
+	}
+	if dst == p.Rank() {
+		rs := p.Current()
+		p.m.r.Inbox(dst).Push(rs, dst, m, rs.WallIfTraced())
+		return
+	}
+	p.writeTo(dst, m)
+}
 
-// Rank implements comm.Comm.
-func (p *Proc) Rank() int { return p.rank }
+func (w wire) SendToken(dst int) { w.p.writeTo(dst, comm.Message{Tag: barrierTag}) }
 
-// Size implements comm.Comm.
-func (p *Proc) Size() int { return p.size }
+func (w wire) Flush() { w.p.flushPending() }
 
 // writeTo frames m onto the pair's socket stamped with the run's epoch —
 // one Write (or vectored WriteTo) per frame through pooled scratch — or,
@@ -785,7 +492,7 @@ func (p *Proc) writeTo(dst int, m comm.Message) {
 	}
 	sc := getScratch()
 	p.wmu[dst].Lock()
-	err = writeFrameTo(conn, p.rs.epoch, m, sc)
+	err = writeFrameTo(conn, p.Current().Epoch, m, sc)
 	p.wmu[dst].Unlock()
 	putScratch(sc)
 	if err != nil {
@@ -804,15 +511,15 @@ func (p *Proc) link(dst int) (net.Conn, error) {
 	if c != nil {
 		return c, nil
 	}
-	return p.m.ensureLink(p.rs.ctx, p.rank, dst)
+	return p.m.ensureLink(p.Current().Ctx, p.Rank(), dst)
 }
 
 // sendFail panics out of a failed socket write with the abort
 // classification writeTo documents.
 func (p *Proc) sendFail(dst int, err error) {
 	serr := fmt.Errorf("send to %d: %w", dst, err)
-	if p.rs.aborted.Load() {
-		panic(&abortError{cause: serr})
+	if p.Current().Aborted() {
+		panic(&rt.AbortError{Cause: serr})
 	}
 	panic(serr)
 }
@@ -823,7 +530,7 @@ func (p *Proc) bufferFrame(dst int, m comm.Message) {
 	if len(p.pend[dst]) == 0 {
 		p.dirty = append(p.dirty, dst)
 	}
-	p.pend[dst] = appendFrame(p.pend[dst], p.rs.epoch, m)
+	p.pend[dst] = appendFrame(p.pend[dst], p.Current().Epoch, m)
 	if len(p.pend[dst]) >= p.flushLimit {
 		p.flushDst(dst)
 	}
@@ -863,127 +570,11 @@ func (p *Proc) flushPending() {
 	p.dirty = p.dirty[:0]
 }
 
-// Send implements comm.Comm: frame the message onto the pair's socket.
-// Self-sends short-circuit through the local inbox.
-func (p *Proc) Send(dst int, m comm.Message) {
-	if dst < 0 || dst >= p.size {
-		panic(fmt.Sprintf("tcp: rank %d sends to invalid rank %d", p.rank, dst))
-	}
-	if m.Tag == barrierTag {
-		panic(fmt.Sprintf("tcp: rank %d sends message with reserved barrier tag %d", p.rank, m.Tag))
-	}
-	p.sends++
-	p.sendBytes += int64(m.Len())
-	var t0 time.Time
-	if p.rs.tr != nil {
-		t0 = time.Now()
-	}
-	if dst == p.rank {
-		p.in.push(p.st, p.rs, p.rank, m, p.rs.wallIfTraced(), false)
-	} else {
-		p.writeTo(dst, m)
-	}
-	if p.rs.tr != nil {
-		p.rs.tr.Trace(obs.Event{
-			Kind: obs.KindSend, Rank: p.rank, Peer: dst, Bytes: m.Len(),
-			Parts: len(m.Parts), Tag: m.Tag, Wall: p.rs.wall(),
-			Dur: network.Time(time.Since(t0).Nanoseconds()), Iter: p.iter, Phase: p.phase,
-		})
-	}
-}
-
-// Recv implements comm.Comm. With Options.RecvTimeout set, a wait
-// exceeding the timeout aborts the run with an error naming this rank
-// and src.
-func (p *Proc) Recv(src int) comm.Message {
-	if src < 0 || src >= p.size {
-		panic(fmt.Sprintf("tcp: rank %d receives from invalid rank %d", p.rank, src))
-	}
-	p.flushPending() // a blocked Recv must never hold undelivered frames
-	var t0 time.Time
-	if p.rs.tr != nil {
-		t0 = time.Now()
-	}
-	m, arrival, waited, err := p.in.pop(src, p.recvTimeout)
-	if err != nil {
-		panic(fmt.Errorf("recv from %d: %w", src, err))
-	}
-	p.recvs++
-	p.recvBytes += int64(m.Len())
-	if p.rs.tr != nil {
-		wall := p.rs.wall()
-		spent := network.Time(time.Since(t0).Nanoseconds())
-		if waited {
-			p.rs.tr.Trace(obs.Event{
-				Kind: obs.KindWait, Rank: p.rank, Peer: src, Wall: wall,
-				Dur: spent, Arrival: network.Time(arrival), Iter: p.iter, Phase: p.phase,
-			})
-			spent = 0 // the blocked span is the wait slice, not the recv
-		}
-		p.rs.tr.Trace(obs.Event{
-			Kind: obs.KindRecv, Rank: p.rank, Peer: src, Bytes: m.Len(),
-			Parts: len(m.Parts), Tag: m.Tag, Wall: wall, Dur: spent,
-			Arrival: network.Time(arrival), Iter: p.iter, Phase: p.phase,
-		})
-	}
-	return m
-}
-
-// Barrier implements comm.Comm as a dissemination barrier over the wire:
-// ⌈log2 p⌉ rounds of empty frames. Barrier frames bypass Send/Recv and
-// their counters — they are transport overhead, metered separately in
-// ProcStats.BarrierSends/BarrierRecvs — so algorithm operation counts
-// agree with the live engine.
-func (p *Proc) Barrier() {
-	var t0 time.Time
-	if p.rs.tr != nil {
-		t0 = time.Now()
-	}
-	for k := 1; k < p.size; k <<= 1 {
-		dst := (p.rank + k) % p.size
-		src := (p.rank - k + p.size) % p.size
-		p.barrierSends++
-		p.writeTo(dst, comm.Message{Tag: barrierTag})
-		p.flushPending() // our token must be on the wire before we wait
-		if err := p.in.popBarrier(src, p.recvTimeout); err != nil {
-			panic(fmt.Errorf("barrier recv from %d: %w", src, err))
-		}
-		p.barrierRecvs++
-	}
-	if p.rs.tr != nil {
-		p.rs.tr.Trace(obs.Event{
-			Kind: obs.KindBarrier, Rank: p.rank, Peer: -1, Wall: p.rs.wall(),
-			Dur: network.Time(time.Since(t0).Nanoseconds()), Iter: p.iter, Phase: p.phase,
-		})
-	}
-}
-
-// ProcStats counts one processor's operations. Sends/Recvs and the byte
-// counters cover algorithm traffic only; barrier dissemination frames
-// are counted apart so stats agree with the live engine.
-type ProcStats struct {
-	Rank      int
-	Sends     int
-	Recvs     int
-	SendBytes int64
-	RecvBytes int64
-	// BarrierSends/BarrierRecvs count dissemination-barrier frames
-	// (transport overhead, excluded from the fields above).
-	BarrierSends int
-	BarrierRecvs int
-}
+// ProcStats counts one processor's operations during a run.
+type ProcStats = rt.ProcStats
 
 // Result is the outcome of a TCP run.
-type Result struct {
-	// Elapsed is the wall-clock duration of the algorithm phase
-	// (connection setup excluded).
-	Elapsed time.Duration
-	// Procs holds per-processor operation counts — every rank on a
-	// single-process machine, only the local rank range on a cluster
-	// worker (each entry's Rank field identifies it; the coordinator
-	// merges the workers' slices).
-	Procs []ProcStats
-}
+type Result = rt.Result
 
 // Machine is a persistent loopback TCP machine: p listeners with
 // persistent acceptors, a dialed mesh — full by default, or only the
@@ -1001,6 +592,7 @@ type Machine struct {
 	mu        sync.Mutex // serializes Run, Close and mesh rebuilds
 	listeners []net.Listener
 	procs     []*Proc
+	r         *rt.Runtime
 	st        *state
 	pumps     sync.WaitGroup
 	acceptors sync.WaitGroup
@@ -1086,8 +678,15 @@ func NewWorkerMachine(p, lo, hi int, opts Options) (*Machine, error) {
 // newMachine allocates the machine, binds the local ranks' listeners
 // and starts their persistent acceptors; it does not connect.
 func newMachine(p, lo, hi int, opts Options) (*Machine, error) {
-	if p <= 0 {
-		return nil, fmt.Errorf("tcp: non-positive processor count %d", p)
+	st := &state{}
+	// The abort hook marks the mesh broken before closing it, so pumps
+	// reading from the closed sockets return quietly.
+	r, err := rt.New("tcp", p, lo, hi, func() {
+		st.broken.Store(true)
+		st.closeConns()
+	})
+	if err != nil {
+		return nil, err
 	}
 	dial := opts.Dial
 	if dial == nil {
@@ -1110,7 +709,7 @@ func newMachine(p, lo, hi int, opts Options) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		size: p, lo: lo, hi: hi, st: &state{},
+		size: p, lo: lo, hi: hi, r: r, st: st,
 		listeners: make([]net.Listener, p), procs: make([]*Proc, p),
 		dial: dial, dialAttempts: attempts, dialBackoff: backoff,
 		disableNoDelay: opts.DisableNoDelay, listenHost: host,
@@ -1124,7 +723,6 @@ func newMachine(p, lo, hi int, opts Options) (*Machine, error) {
 			m.pairs = append(m.pairs, pr)
 		}
 	}
-	m.st.procs = m.procs
 	m.st.connCond = sync.NewCond(&m.st.connMu)
 	for i := lo; i < hi; i++ {
 		ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
@@ -1135,13 +733,9 @@ func newMachine(p, lo, hi int, opts Options) (*Machine, error) {
 			return nil, fmt.Errorf("tcp: listen for rank %d: %w", i, err)
 		}
 		m.listeners[i] = ln
-		in := &inbox{rank: i, boxes: make([]comm.Queue, p), barriers: make([]int, p)}
-		in.cond = sync.NewCond(&in.mu)
-		m.procs[i] = &Proc{
-			rank: i, size: p, conns: make([]net.Conn, p),
-			wmu: make([]sync.Mutex, p),
-			in:  in, st: m.st, m: m, iter: -1,
-		}
+		pr := &Proc{conns: make([]net.Conn, p), wmu: make([]sync.Mutex, p), st: m.st, m: m}
+		pr.Core = r.NewCore(i, wire{pr}, recycleMessage)
+		m.procs[i] = pr
 	}
 	// Persistent acceptors: every local rank keeps accepting for the
 	// machine's lifetime, so planned setup, reconnects and lazy dials
@@ -1349,10 +943,9 @@ func (m *Machine) Close() error {
 
 // Run executes fn on every processor over the warm mesh, rebuilding it
 // first if a previous run's abort damaged it. Only the run fields of
-// opts are consumed (Context, RunTimeout, RecvTimeout, Tracer); each
-// call may pass different ones. A panic on any processor aborts the run
-// and is returned as an error; the machine remains usable — the next Run
-// reconnects.
+// opts are consumed; each call may pass different ones. A failed run
+// returns an error (see internal/rt) and leaves the machine usable — the
+// next Run reconnects.
 func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1395,141 +988,32 @@ func (m *Machine) Run(opts Options, fn func(*Proc)) (*Result, error) {
 	} else {
 		m.epoch++
 	}
-	rs := &runState{epoch: m.epoch, tr: opts.Tracer, ctx: opts.Context}
-	p := m.size
 	for i := m.lo; i < m.hi; i++ {
-		m.procs[i].beginRun(rs, opts.RecvTimeout, opts.FlushThreshold, opts.Ports)
+		m.procs[i].beginRun(opts.FlushThreshold, opts.Ports)
 	}
-	rs.start = time.Now()
-	// Inboxes are wiped and stamped for the new run; only now do the
-	// pumps start delivering (current-epoch) frames.
-	m.st.run.Store(rs)
-
-	// External abort sources: context cancellation and the whole-run
-	// deadline.
-	watchDone := make(chan struct{})
-	var watchWG sync.WaitGroup
-	var ctxDone <-chan struct{}
-	if opts.Context != nil {
-		ctxDone = opts.Context.Done()
-	}
-	var runTimer *time.Timer
-	var runTimeoutC <-chan time.Time
-	if opts.RunTimeout > 0 {
-		runTimer = time.NewTimer(opts.RunTimeout)
-		runTimeoutC = runTimer.C
-	}
-	if ctxDone != nil || runTimeoutC != nil {
-		watchWG.Add(1)
-		go func() {
-			defer watchWG.Done()
-			select {
-			case <-ctxDone:
-				m.st.abort(rs, &abortError{cause: fmt.Errorf("run canceled: %w", opts.Context.Err()), external: true})
-			case <-runTimeoutC:
-				m.st.abort(rs, &abortError{cause: fmt.Errorf("run exceeded %v deadline", opts.RunTimeout), external: true})
-			case <-watchDone:
-			}
-		}()
-	}
-
-	// The start gate runs after the mailboxes armed but before any rank
-	// executes: a cluster worker acks the coordinator here and blocks
+	// The start gate runs after the inboxes are armed but before any rank
+	// executes: a cluster worker acks the coordinator there and blocks
 	// until the whole cluster is armed, so no frame can reach a process
 	// that would still discard it as stale.
-	if opts.StartGate != nil {
-		if err := opts.StartGate(); err != nil {
-			m.st.abort(rs, &abortError{cause: fmt.Errorf("run start aborted: %w", err), external: true})
-			m.st.run.Store(nil)
-			close(watchDone)
-			if runTimer != nil {
-				runTimer.Stop()
-			}
-			watchWG.Wait()
-			return nil, fmt.Errorf("tcp: run start aborted: %w", err)
+	return m.r.Exec(opts.run(), m.epoch, opts.StartGate, func(rank int) {
+		pr := m.procs[rank]
+		// Whatever happens — including a panic in fn — the link drivers
+		// must be joined before the rank retires, or a driver could
+		// outlive the run's epoch.
+		defer pr.stopDrivers()
+		fn(pr)
+		// Frames batched behind the algorithm's last sends still belong
+		// to peers; push them out before the rank retires (a flush
+		// failure aborts the run like any other send failure).
+		pr.flushPending()
+		// Likewise every queued driver frame: join the drivers, then
+		// surface the first driver failure as this rank's own error (the
+		// driver goroutine could not panic on our behalf).
+		pr.stopDrivers()
+		if df := pr.derr.Load(); df != nil {
+			panic(df.err)
 		}
-	}
-
-	// roots collects root-cause failures (panics, deadline overruns,
-	// broken connections, cancellation); unwinds collects processors
-	// that merely unwound after someone else failed. Roots take
-	// precedence in the returned error.
-	roots := make([]error, p)
-	unwinds := make([]error, p)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := m.lo; i < m.hi; i++ {
-		pr := m.procs[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					rerr, ok := r.(error)
-					if !ok {
-						rerr = fmt.Errorf("%v", r)
-					}
-					var ab *abortError
-					if errors.As(rerr, &ab) && !ab.external {
-						unwinds[pr.rank] = fmt.Errorf("tcp: rank %d unwound: %w", pr.rank, rerr)
-						return
-					}
-					roots[pr.rank] = fmt.Errorf("tcp: rank %d: %w", pr.rank, rerr)
-					// Fail fast: poison every inbox and close the
-					// connections so blocked peers unwind instead of
-					// hanging on a dead processor.
-					m.st.abort(rs, &abortError{cause: fmt.Errorf("machine aborted by rank %d", pr.rank)})
-				}
-			}()
-			// Whatever happens — including a panic in fn — the link
-			// drivers must be joined before the rank retires, or a
-			// driver could outlive the run's epoch. Registered before
-			// the recover handler runs (LIFO).
-			defer pr.stopDrivers()
-			fn(pr)
-			// Frames batched behind the algorithm's last sends still
-			// belong to peers; push them out before the rank retires
-			// (inside the recover scope — a flush failure aborts the
-			// run like any other send failure).
-			pr.flushPending()
-			// Likewise every queued driver frame: join the drivers, then
-			// surface the first driver failure as this rank's own error
-			// (the driver goroutine could not panic on our behalf).
-			pr.stopDrivers()
-			if df := pr.derr.Load(); df != nil {
-				panic(df.err)
-			}
-		}()
-	}
-	wg.Wait()
-	// The run is over: pumps must stop delivering into its mailboxes
-	// (late frames are dropped until the next run opens a new epoch).
-	m.st.run.Store(nil)
-	close(watchDone)
-	if runTimer != nil {
-		runTimer.Stop()
-	}
-	watchWG.Wait()
-	res := &Result{Elapsed: time.Since(start), Procs: make([]ProcStats, 0, m.hi-m.lo)}
-	for i := m.lo; i < m.hi; i++ {
-		pr := m.procs[i]
-		res.Procs = append(res.Procs, ProcStats{
-			Rank: i, Sends: pr.sends, Recvs: pr.recvs,
-			SendBytes: pr.sendBytes, RecvBytes: pr.recvBytes,
-			BarrierSends: pr.barrierSends, BarrierRecvs: pr.barrierRecvs,
-		})
-	}
-	for _, e := range roots {
-		if e != nil {
-			return nil, e
-		}
-	}
-	for _, e := range unwinds {
-		if e != nil {
-			return nil, e
-		}
-	}
-	return res, nil
+	})
 }
 
 // reconnect rebuilds the planned link set — not the full mesh — over
@@ -2020,7 +1504,8 @@ func (m *Machine) applyNoDelay(conn net.Conn) {
 func (m *Machine) pump(pr *Proc, peer int, conn net.Conn) {
 	defer m.pumps.Done()
 	st := m.st
-	rd := &frameReader{r: conn, src: peer, dst: pr.rank}
+	in := m.r.Inbox(pr.Rank())
+	rd := &frameReader{r: conn, src: peer, dst: pr.Rank()}
 	for {
 		fr, epoch, err := rd.read()
 		if err != nil {
@@ -2036,10 +1521,9 @@ func (m *Machine) pump(pr *Proc, peer int, conn net.Conn) {
 				// still up, so nothing is lost and nobody is blocked.
 				return
 			}
-			rs := st.run.Load()
-			if rs != nil {
-				pr.in.fail(st, rs, fmt.Errorf("tcp: connection %d→%d failed: %w", peer, pr.rank, err))
-				st.abort(rs, &abortError{cause: fmt.Errorf("machine aborted: connection %d→%d failed", peer, pr.rank)})
+			if rs := m.r.Current(); rs != nil {
+				in.Fail(rs, fmt.Errorf("tcp: connection %d→%d failed: %w", peer, pr.Rank(), err))
+				m.r.Abort(rs, &rt.AbortError{Cause: fmt.Errorf("machine aborted: connection %d→%d failed", peer, pr.Rank())})
 			} else {
 				// A connection died between runs: nobody is blocked on
 				// it, so just mark the mesh for rebuild.
@@ -2047,8 +1531,8 @@ func (m *Machine) pump(pr *Proc, peer int, conn net.Conn) {
 			}
 			return
 		}
-		rs := st.run.Load()
-		if rs == nil || epoch != rs.epoch {
+		rs := m.r.Current()
+		if rs == nil || epoch != rs.Epoch {
 			// Frame from an earlier run (late or replayed): drop, and
 			// recycle its arena buffers — it was never delivered.
 			recycleMessage(fr)
@@ -2056,9 +1540,9 @@ func (m *Machine) pump(pr *Proc, peer int, conn net.Conn) {
 		}
 		if fr.Tag == barrierTag {
 			recycleMessage(fr) // barrier frames carry no parts normally
-			pr.in.pushBarrier(st, rs, peer)
-		} else {
-			pr.in.push(st, rs, peer, fr, rs.wallIfTraced(), true)
+			in.PushToken(rs, peer)
+		} else if !in.Push(rs, peer, fr, rs.WallIfTraced()) {
+			recycleMessage(fr) // the run ended while the frame was in flight
 		}
 	}
 }

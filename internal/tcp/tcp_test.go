@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"net"
 	"reflect"
@@ -369,36 +368,6 @@ func TestTCPBarrierDeadline(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "barrier recv") || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("barrier stall error: %v", err)
-	}
-}
-
-func TestTCPRunTimeoutAborts(t *testing.T) {
-	start := time.Now()
-	_, err := RunOpts(2, Options{RunTimeout: 150 * time.Millisecond}, func(p *Proc) {
-		p.Recv(1 - p.Rank()) // mutual hang
-	})
-	if err == nil {
-		t.Fatal("run deadline not enforced")
-	}
-	if !strings.Contains(err.Error(), "run exceeded") {
-		t.Fatalf("run-deadline error: %v", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("run-deadline abort took %v", d)
-	}
-}
-
-func TestTCPContextCancelAborts(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	_, err := RunOpts(2, Options{Context: ctx}, func(p *Proc) {
-		p.Recv(1 - p.Rank())
-	})
-	if err == nil || !strings.Contains(err.Error(), "canceled") {
-		t.Fatalf("cancel error: %v", err)
 	}
 }
 

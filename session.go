@@ -15,6 +15,7 @@ import (
 	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/plan"
+	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
@@ -640,25 +641,17 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 		bundles[rank] = got
 	}
 
-	var elapsed time.Duration
-	var sent int64
+	var r *rt.Result
 	switch s.engine {
 	case EngineLive:
-		r, err := s.liveM.Run(live.Options{
+		r, err = s.liveM.Run(live.Options{
 			Context:     opts.Context,
 			RunTimeout:  opts.RunTimeout,
 			RecvTimeout: opts.RecvTimeout,
 			Tracer:      tracerOrNil(opts.Trace),
 		}, func(pr *live.Proc) { body(pr) })
-		if err != nil {
-			return nil, 0, err
-		}
-		elapsed = r.Elapsed
-		for i := range r.Procs {
-			sent += r.Procs[i].SendBytes
-		}
 	case EngineTCP:
-		r, err := s.tcpM.Run(tcp.Options{
+		r, err = s.tcpM.Run(tcp.Options{
 			Context:        opts.Context,
 			RunTimeout:     opts.RunTimeout,
 			RecvTimeout:    opts.RecvTimeout,
@@ -666,17 +659,17 @@ func (s *Session) runReal(cfg Config, opts RunOptions) (*Result, int64, error) {
 			Ports:          opts.Ports,
 			Tracer:         tracerOrNil(opts.Trace),
 		}, func(pr *tcp.Proc) { body(pr) })
-		if err != nil {
-			return nil, 0, err
-		}
-		elapsed = r.Elapsed
-		for i := range r.Procs {
-			sent += r.Procs[i].SendBytes
-		}
 	default:
 		return nil, 0, fmt.Errorf("stpbcast: unknown engine %v", s.engine)
 	}
-	res := &Result{Elapsed: elapsed, Bundles: bundles, Trace: opts.Trace}
+	if err != nil {
+		return nil, 0, err
+	}
+	var sent int64
+	for i := range r.Procs {
+		sent += r.Procs[i].SendBytes
+	}
+	res := &Result{Elapsed: r.Elapsed, Bundles: bundles, Trace: opts.Trace}
 	if inj != nil {
 		res.Faults = inj.Events()
 	}
