@@ -26,9 +26,12 @@ test:
 race:
 	$(GO) test -race -timeout 5m ./...
 
-# Fault-injection and abort-path suites only, plus the stpbench sweep.
+# Fault-injection and abort-path suites, plus the run-isolation suites
+# (back-to-back, overlapping and pipelined runs on one warm machine):
+# with no start barrier, isolation rests on armed inboxes and per-run
+# epochs alone. Then the stpbench sweep.
 chaos:
-	$(GO) test -race -timeout 4m -run 'Chaos|Abort|Deadline|Timeout|Cancel|DialRetry|DialPermanent|MidRunConnection' ./internal/faults/ ./internal/rt/ ./internal/live/ ./internal/tcp/ .
+	$(GO) test -race -timeout 4m -run 'Chaos|Abort|Deadline|Timeout|Cancel|DialRetry|DialPermanent|MidRunConnection|Isolation|Overlap|BackToBack|Bleed|Pipelined' ./internal/faults/ ./internal/rt/ ./internal/live/ ./internal/tcp/ ./internal/daemon/ .
 	$(GO) run ./cmd/stpbench -chaos
 
 # Replay the checked-in fuzz seed corpora (no fuzzing time budget).

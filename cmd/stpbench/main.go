@@ -466,7 +466,7 @@ var chaosScenarios = []chaosScenario{
 	{
 		name: "kill-rank",
 		plan: func(seed int64) stpbcast.FaultPlan {
-			return stpbcast.FaultPlan{Kills: []stpbcast.FaultKill{{Rank: 5, Op: 2}}}
+			return stpbcast.FaultPlan{Kills: []stpbcast.FaultKill{{Rank: 5, Op: 1}}}
 		},
 		wantErr: "rank 5 killed",
 	},

@@ -24,7 +24,7 @@ func simulateBrLin(t *testing.T, spec core.Spec, l int) *sim.Result {
 	payload := make([]byte, l)
 	res, err := sim.Run(nw, func(pr *sim.Proc) {
 		mine := core.InitialMessage(spec, pr.Rank(), payload)
-		core.BrLin().Run(pr, spec, mine)
+		core.RunSynced(pr, core.BrLin(), spec, mine)
 	}, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestBrXYOracleMatchesSimulator(t *testing.T) {
 		payload := make([]byte, l)
 		res, err := sim.Run(nw, func(pr *sim.Proc) {
 			mine := core.InitialMessage(spec, pr.Rank(), payload)
-			alg.Run(pr, spec, mine)
+			core.RunSynced(pr, alg, spec, mine)
 		}, sim.Options{})
 		if err != nil {
 			t.Fatal(err)

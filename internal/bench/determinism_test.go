@@ -90,6 +90,13 @@ func TestEveryCollectiveDeterministic(t *testing.T) {
 // (clock, rank) — exactly the scan's tie-break — so every timing must
 // reproduce to the nanosecond. A drift here means the rewrite changed
 // simulated semantics, not just speed.
+//
+// The rows after the first six were captured while the start barrier
+// still sat inside each algorithm body. They pin the compositions the
+// move to core.RunSynced could have shifted: the unsynchronized
+// Indep_1toP, ReposAdaptive on its skip (IdealRows) and reposition (Sq)
+// branches, Part_* whose inner runs on a comm.Sub, the discovery
+// wrapper, Br_kport4, Bcast_Circulant and every non-broadcast schedule.
 func TestSchedulerMatchesSeedTimings(t *testing.T) {
 	fixtures := []struct {
 		m          *machine.Machine
@@ -105,19 +112,45 @@ func TestSchedulerMatchesSeedTimings(t *testing.T) {
 		{machine.T3D(128), "RD_AllGather", "E", 32, 4096, 6630102, 691213132, 179265100},
 		{machine.T3D(64), "2-Step", "Sq", 16, 8192, 11553829, 564874824, 498466744},
 		{machine.Paragon(16, 16), "Repos_xy_source", "Sq", 75, 6144, 21648828, 5270015707, 1086882379},
+		{machine.Paragon(10, 10), "Indep_1toP", "E", 10, 2048, 4502448, 431409752, 346309352},
+		{machine.Paragon(16, 16), "ReposAdaptive_Br_xy_source", "IdealRows", 64, 6144, 17697091, 4296357056, 901410496},
+		{machine.Paragon(16, 16), "ReposAdaptive_Br_xy_source", "Sq", 64, 6144, 18682703, 4548673728, 913088384},
+		{machine.Paragon(10, 10), "Part_xy_source", "Cr", 30, 4096, 7511554, 658425861, 176219021},
+		{machine.Paragon(8, 8), "Part_Lin", "E", 16, 2048, 3029548, 174328232, 63586544},
+		{machine.Paragon(16, 16), "Discover+Br_Lin", "Cr", 32, 4096, 12268195, 2659313852, 1192743228},
+		{machine.Paragon(8, 8), "Br_kport4", "Dr", 16, 2048, 1982146, 117747349, 13875061},
+		{machine.T3D(64), "Bcast_Circulant", "E", 16, 4096, 3025450, 159693920, 24744416},
+		{machine.Paragon(8, 8), "Red_Tree", "E", 16, 2048, 945512, 26547090, 2377050},
+		{machine.T3D(64), "AllRed_RecDouble", "E", 16, 2048, 739595, 43884296, 4947720},
+		{machine.Paragon(8, 8), "AllRed_RedBcast", "E", 16, 2048, 1580044, 88973952, 59388432},
+		{machine.T3D(64), "Scatter_Binomial", "E", 1, 1024, 2402730, 91144512, 72802488},
+		{machine.Paragon(8, 8), "Scatter_Direct", "E", 1, 1024, 2396771, 90363613, 65886373},
+		{machine.Paragon(8, 8), "Ag_Ring", "E", 64, 512, 4491395, 287446800, 44367120},
+		{machine.T3D(64), "Ag_RecDouble", "E", 64, 512, 1446554, 90305760, 10999008},
+		{machine.T3D(64), "A2A_Pairwise", "E", 64, 256, 2174262, 139056480, 12863328},
+		{machine.T3D(64), "A2A_JungSakho", "E", 64, 256, 1662778, 105278800, 12530512},
 	}
 	dists := map[string]dist.Distribution{
-		"E":  dist.Equal(),
-		"Cr": dist.Cross(),
-		"Dr": dist.DiagRight(),
-		"Sq": dist.Square(),
+		"E":         dist.Equal(),
+		"Cr":        dist.Cross(),
+		"Dr":        dist.DiagRight(),
+		"Sq":        dist.Square(),
+		"IdealRows": dist.IdealRows(),
+	}
+	// Wrappers outside the registry, by the names they report.
+	composed := map[string]core.Algorithm{
+		"ReposAdaptive_Br_xy_source": core.ReposAdaptive(core.BrXYSource(), 0.1),
+		"Discover+Br_Lin":            core.WithDiscovery(core.BrLin()),
 	}
 	for _, fx := range fixtures {
 		fx := fx
 		t.Run(fx.m.Name+"/"+fx.alg+"/"+fx.dist, func(t *testing.T) {
-			alg, err := core.ByName(fx.alg)
-			if err != nil {
-				t.Fatal(err)
+			alg, ok := composed[fx.alg]
+			if !ok {
+				var err error
+				if alg, err = core.ByName(fx.alg); err != nil {
+					t.Fatal(err)
+				}
 			}
 			spec, err := SpecFor(fx.m, dists[fx.dist], fx.s)
 			if err != nil {

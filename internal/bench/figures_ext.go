@@ -12,7 +12,7 @@ import (
 
 // MeasureVar is Measure with a per-source message length: lengths maps a
 // source rank to its payload size (the paper's "different length
-// messages" experiment of Section 5).
+// messages" experiment of Section 5), also run through core.RunSynced.
 func MeasureVar(m *machine.Machine, alg core.Algorithm, spec core.Spec, lengths map[int]int) (*sim.Result, error) {
 	nw, err := m.NewNetwork()
 	if err != nil {
@@ -24,7 +24,7 @@ func MeasureVar(m *machine.Machine, alg core.Algorithm, spec core.Spec, lengths 
 	}
 	return sim.Run(nw, func(pr *sim.Proc) {
 		mine := core.InitialMessage(spec, pr.Rank(), payloads[pr.Rank()])
-		alg.Run(pr, spec, mine)
+		core.RunSynced(pr, alg, spec, mine)
 	}, sim.Options{})
 }
 

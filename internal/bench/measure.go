@@ -16,7 +16,8 @@ import (
 
 // Measure runs one algorithm on one machine for one collective instance
 // (the algorithm's CollectiveOf tag decides the initial bundles) and
-// returns the simulated result. Ranks enter with length-only parts of
+// returns the simulated result, timed from the paper's synchronized
+// start (core.RunSynced). Ranks enter with length-only parts of
 // msgLen bytes (the simulator prices sizes; no payload buffers are
 // allocated).
 func Measure(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int) (*sim.Result, error) {
@@ -27,7 +28,7 @@ func Measure(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen int)
 	coll := core.CollectiveOf(alg)
 	return sim.Run(nw, func(pr *sim.Proc) {
 		mine := core.InitialLenFor(coll, spec, pr.Rank(), msgLen)
-		alg.Run(pr, spec, mine)
+		core.RunSynced(pr, alg, spec, mine)
 	}, sim.Options{})
 }
 

@@ -84,8 +84,10 @@ type workerHandle struct {
 }
 
 // Result aggregates one cluster run: elapsed is the slowest worker's
-// algorithm phase, Procs merges every worker's local stats (sorted by
-// rank, all p present), and the dial counters sum the workers'.
+// algorithm phase, from its StartGate release to its last rank done
+// (the gate is the synchronized start; no barrier runs), Procs merges
+// every worker's local stats (sorted by rank, all p present), and the
+// dial counters sum the workers'.
 type Result struct {
 	Elapsed time.Duration
 	Procs   []tcp.ProcStats

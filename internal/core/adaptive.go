@@ -116,25 +116,43 @@ func growthEfficiency(spec Spec) float64 {
 	return e
 }
 
-func (a reposAdaptive) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
-	if err := spec.Validate(c.Size()); err != nil {
-		panic(err)
-	}
+// idealTargets returns the inner algorithm's ideal source positions on
+// spec and whether permuting the sources onto them is worthwhile: the
+// growth-efficiency gain must exceed the margin, so a gain equal to it
+// skips too.
+func (a reposAdaptive) idealTargets(spec Spec) ([]int, bool) {
 	gen := IdealFor(a.inner, spec.Rows, spec.Cols)
 	ideal, err := gen.Sources(spec.Rows, spec.Cols, spec.S())
 	if err != nil {
 		panic(err)
 	}
 	idealSpec := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: ideal, Indexing: spec.Indexing}
-	gain := growthEfficiency(idealSpec) - growthEfficiency(spec)
-	if gain <= a.margin {
-		// Close enough to ideal: skip the permutation. The margin is the
-		// improvement that must be exceeded, so gain == margin skips too.
+	return ideal, growthEfficiency(idealSpec)-growthEfficiency(spec) > a.margin
+}
+
+// SyncedStart implements StartSyncer: a run that skips the permutation
+// is its inner algorithm's run, so it starts as the inner does.
+func (a reposAdaptive) SyncedStart(spec Spec) bool {
+	if spec.Validate(spec.P()) != nil {
+		return true // Run rejects the spec
+	}
+	if _, reposition := a.idealTargets(spec); reposition {
+		return true
+	}
+	return SyncedStart(a.inner, spec)
+}
+
+func (a reposAdaptive) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
+	if err := spec.Validate(c.Size()); err != nil {
+		panic(err)
+	}
+	ideal, reposition := a.idealTargets(spec)
+	if !reposition {
+		// Close enough to ideal: skip the permutation.
 		return a.inner.Run(c, spec, mine)
 	}
-	c.Barrier()
 	targets := repositionPermutation(spec, ideal)
 	bundle := applyReposition(c, spec, targets, mine)
 	inner := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: targets, Indexing: spec.Indexing}
-	return a.inner.Run(c, inner, bundle)
+	return RunSynced(c, a.inner, inner, bundle)
 }

@@ -32,7 +32,6 @@ func (a2aPairwise) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	p := c.Size()
 	rank := c.Rank()
 	byDest := make([]comm.Part, p)
@@ -82,7 +81,6 @@ func (a2aJungSakho) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message 
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	p := c.Size()
 	rank := c.Rank()
 	x, y, z := topology.TorusDims(p)

@@ -21,7 +21,6 @@ func (twoStep) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	comm.MarkIter(c, 0)
 	comm.MarkPhase(c, "gather")
 	gathered := collective.Gather(c, 0, spec.Sources, mine)
@@ -47,7 +46,6 @@ func (persAlltoAll) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message 
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	return collective.AlltoallPersonalized(c, spec.Sources, mine)
 }
 
@@ -67,7 +65,6 @@ func (ringAllGather) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	return collective.AllgatherRing(c, mine)
 }
 
@@ -89,6 +86,5 @@ func (rdAllGather) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	return collective.AllgatherRecDoubling(c, spec.Sources, mine)
 }

@@ -89,7 +89,6 @@ func (a brDims) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := a.validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	myCoords := a.coordsOf(c.Rank())
 	bundle := mine
 	processed := make([]bool, len(a.extents))

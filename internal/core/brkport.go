@@ -35,7 +35,6 @@ func (a brKPort) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	mesh := topology.MustMesh2D(spec.Rows, spec.Cols)
 	p := spec.P()
 	line := make([]int, p)

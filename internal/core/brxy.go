@@ -51,7 +51,6 @@ func (a brXY) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	rank := c.Rank()
 	row, col := rank/spec.Cols, rank%spec.Cols
 	first := a.order(spec)

@@ -35,7 +35,6 @@ func (circulant) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	p := c.Size()
 	rank := c.Rank()
 	if p == 1 {

@@ -64,7 +64,7 @@ func runSimColl(t *testing.T, coll Collective, alg Algorithm, spec Spec, size in
 	out := make([]comm.Message, spec.P())
 	if _, err := sim.Run(nw, func(pr *sim.Proc) {
 		mine := InitialFor(coll, spec, pr.Rank(), payload)
-		out[pr.Rank()] = alg.Run(pr, spec, mine)
+		out[pr.Rank()] = RunSynced(pr, alg, spec, mine)
 	}, sim.Options{}); err != nil {
 		t.Fatalf("%s/%s on %d×%d: %v", coll, alg.Name(), spec.Rows, spec.Cols, err)
 	}

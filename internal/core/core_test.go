@@ -64,7 +64,7 @@ func runSim(t *testing.T, alg Algorithm, spec Spec, size int) ([]comm.Message, *
 	out := make([]comm.Message, spec.P())
 	res, err := sim.Run(nw, func(pr *sim.Proc) {
 		mine := InitialMessage(spec, pr.Rank(), payloadFor(pr.Rank(), size))
-		out[pr.Rank()] = alg.Run(pr, spec, mine)
+		out[pr.Rank()] = RunSynced(pr, alg, spec, mine)
 	}, sim.Options{})
 	if err != nil {
 		t.Fatalf("%s on %d×%d s=%d: %v", alg.Name(), spec.Rows, spec.Cols, spec.S(), err)
@@ -162,7 +162,7 @@ func TestQuickRandomInstances(t *testing.T) {
 		out := make([]comm.Message, p)
 		if _, err := sim.Run(nw, func(pr *sim.Proc) {
 			mine := InitialMessage(spec, pr.Rank(), payloadFor(pr.Rank(), 8))
-			out[pr.Rank()] = alg.Run(pr, spec, mine)
+			out[pr.Rank()] = RunSynced(pr, alg, spec, mine)
 		}, sim.Options{}); err != nil {
 			t.Logf("%s on %d×%d s=%d sources=%v: %v", alg.Name(), r, c, s, sources, err)
 			return false

@@ -35,7 +35,6 @@ func (a discovery) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	discovered := discoverSources(c, len(mine.Parts) > 0)
 	// The discovered set must equal the declared one; a mismatch means
 	// the caller's spec and payloads disagree.
@@ -48,7 +47,7 @@ func (a discovery) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 		}
 	}
 	inner := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: discovered, Indexing: spec.Indexing}
-	return a.inner.Run(c, inner, mine)
+	return RunSynced(c, a.inner, inner, mine)
 }
 
 // discoverSources runs the recursive-doubling flag exchange and returns

@@ -24,12 +24,15 @@ func Indep1toP() Algorithm { return indep1toP{} }
 
 func (indep1toP) Name() string { return "Indep_1toP" }
 
+// SyncedStart implements StartSyncer: sources fire immediately, with no
+// barrier on any engine (the paper's "does not require synchronization
+// before the broadcasting").
+func (indep1toP) SyncedStart(Spec) bool { return false }
+
 func (indep1toP) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	// Deliberately no barrier: sources fire immediately (the paper's
-	// "does not require synchronization before the broadcasting").
 	p := c.Size()
 	rank := c.Rank()
 	out := comm.Message{}

@@ -81,7 +81,6 @@ func (a part) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	if spec.P() == 1 {
 		return mine
 	}
@@ -141,7 +140,7 @@ func (a part) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 			}
 		}
 		inner := Spec{Rows: my.rows, Cols: my.cols, Sources: localSources, Indexing: spec.Indexing}
-		bundle = a.inner.Run(sub, inner, bundle)
+		bundle = RunSynced(sub, a.inner, inner, bundle)
 	}
 
 	// Final inter-half exchange: local index k < min(p1,p2) exchanges

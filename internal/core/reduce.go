@@ -56,7 +56,6 @@ func (redTree) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	return reduceTree(c, spec.Sources[0], mine)
 }
 
@@ -79,7 +78,6 @@ func (allRedRecDouble) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Messa
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	p := c.Size()
 	rank := c.Rank()
 	if p == 1 {
@@ -119,7 +117,6 @@ func (allRedRedBcast) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Messag
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	root := spec.Sources[0]
 	acc := reduceTree(c, root, mine)
 	return collective.Bcast(c, root, acc)

@@ -92,7 +92,6 @@ func (a repos) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	gen := IdealFor(a.inner, spec.Rows, spec.Cols)
 	ideal, err := gen.Sources(spec.Rows, spec.Cols, spec.S())
 	if err != nil {
@@ -101,7 +100,7 @@ func (a repos) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	targets := repositionPermutation(spec, ideal)
 	bundle := applyReposition(c, spec, targets, mine)
 	inner := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: targets, Indexing: spec.Indexing}
-	return a.inner.Run(c, inner, bundle)
+	return RunSynced(c, a.inner, inner, bundle)
 }
 
 // reposFixed repositions to an explicit target position set instead of the
@@ -118,11 +117,10 @@ func (a reposFixed) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message 
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	targets := repositionPermutation(spec, a.ideal)
 	bundle := applyReposition(c, spec, targets, mine)
 	inner := Spec{Rows: spec.Rows, Cols: spec.Cols, Sources: targets, Indexing: spec.Indexing}
-	return a.inner.Run(c, inner, bundle)
+	return RunSynced(c, a.inner, inner, bundle)
 }
 
 // ReposTo returns a repositioning algorithm that permutes the sources onto

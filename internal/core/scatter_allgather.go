@@ -31,7 +31,6 @@ func (scatterBinomial) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Messa
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	p := c.Size()
 	rank := c.Rank()
 	root := spec.Sources[0]
@@ -95,7 +94,6 @@ func (scatterDirect) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	p := c.Size()
 	root := spec.Sources[0]
 	var bundles []comm.Message
@@ -123,7 +121,6 @@ func (agRing) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	return collective.AllgatherRing(c, mine)
 }
 
@@ -143,6 +140,5 @@ func (agRecDouble) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message {
 	if err := spec.Validate(c.Size()); err != nil {
 		panic(err)
 	}
-	c.Barrier()
 	return collective.AllgatherRecDoubling(c, spec.Sources, mine)
 }

@@ -130,6 +130,7 @@ type Algorithm interface {
 	// Name is the paper's name for the algorithm ("Br_Lin", ...).
 	Name() string
 	// Run performs the broadcast. All processors of the communicator
-	// must call Run with the same spec.
+	// must call Run with the same spec. Run does not open with the
+	// paper's start barrier; RunSynced adds it (see synced.go).
 	Run(c comm.Comm, spec Spec, mine comm.Message) comm.Message
 }

@@ -23,7 +23,7 @@ func TestKillFaultReturnsStructuredErrorAndReconnects(t *testing.T) {
 		Sources:       5,
 		MsgBytes:      64,
 		RecvTimeoutMs: 5_000,
-		Kill:          &KillSpec{Rank: 5, Op: 2},
+		Kill:          &KillSpec{Rank: 5, Op: 1},
 	}
 
 	status, _, e := post(t, base, req)

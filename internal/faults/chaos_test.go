@@ -141,14 +141,14 @@ func TestChaosDropConvertsHangIntoDeadlineError(t *testing.T) {
 // the machine with the killed rank as the reported root cause, while
 // blocked peers unwind.
 func TestChaosKillAbortsNamingTheRank(t *testing.T) {
-	plan := faults.Plan{Kills: []faults.KillAt{{Rank: 5, Op: 2}}}
+	plan := faults.Plan{Kills: []faults.KillAt{{Rank: 5, Op: 1}}}
 	for _, engine := range chaosEngines {
 		t.Run(engine, func(t *testing.T) {
 			_, ev, err := runChaos(t, engine, plan, 5*time.Second)
 			if err == nil {
 				t.Fatal("killed rank did not fail the run")
 			}
-			if !strings.Contains(err.Error(), "rank 5 killed at operation 2") {
+			if !strings.Contains(err.Error(), "rank 5 killed at operation 1") {
 				t.Fatalf("kill diagnostic lost: %v", err)
 			}
 			if len(ev) != 1 || ev[0].Kind != faults.Kill || ev[0].Rank != 5 {

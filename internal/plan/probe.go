@@ -23,7 +23,9 @@ type ProbeResult struct {
 	ElapsedMs float64
 }
 
-// probeOne runs one probe simulation on the length-only payload path.
+// probeOne runs one probe simulation on the length-only payload path,
+// from the synchronized start (core.RunSynced) like every simulated
+// timing.
 func probeOne(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen, maxOps int) (float64, error) {
 	nw, err := m.NewNetwork()
 	if err != nil {
@@ -32,7 +34,7 @@ func probeOne(m *machine.Machine, alg core.Algorithm, spec core.Spec, msgLen, ma
 	coll := core.CollectiveOf(alg)
 	res, err := sim.Run(nw, func(pr *sim.Proc) {
 		mine := core.InitialLenFor(coll, spec, pr.Rank(), msgLen)
-		alg.Run(pr, spec, mine)
+		core.RunSynced(pr, alg, spec, mine)
 	}, sim.Options{MaxOps: maxOps})
 	if err != nil {
 		if errors.Is(err, sim.ErrMaxOps) {

@@ -37,16 +37,20 @@ func (lc *linkCollector) Trace(e obs.Event) {
 
 // Routes extracts the directed logical link set the algorithm uses on
 // this instance by replaying it once on the deterministic simulator
-// with a link-collecting tracer. Because every engine drives the same
-// algorithm code over the same spec, the simulated schedule's links are
-// exactly the links a live or TCP run will traverse — which makes the
-// result a valid sparse connection plan (tcp Options.Links, or
-// stpbcast.SessionOptions.Links via RoutesFor).
+// with a link-collecting tracer. The replay calls plain alg.Run, as the
+// real-byte engines do, not core.RunSynced: the start barrier the
+// simulator prices for timing never reaches a live or TCP wire. Because
+// every engine drives the same algorithm code over the same spec, the
+// replayed schedule's links are exactly the links a live or TCP run
+// will traverse — which makes the result a valid sparse connection plan
+// (tcp Options.Links, or stpbcast.SessionOptions.Links via RoutesFor).
 //
-// If the traced run used Barrier, the extracted set additionally
-// includes the real-byte engines' dissemination-barrier links — rank i
-// sends to (i+2^j) mod p each round — which the simulator prices as a
-// single closed-form charge and therefore does not emit as sends.
+// Only if the schedule itself barriers (Repos_*, between the
+// permutation and the inner broadcast) does the extracted set
+// additionally include the real-byte engines' dissemination-barrier
+// links — rank i sends to (i+2^j) mod p each round — which the
+// simulator prices as a single closed-form charge and therefore does
+// not emit as sends.
 //
 // The returned pairs are deduplicated and sorted. They are directed;
 // the TCP engine collapses each unordered pair onto one shared

@@ -85,8 +85,9 @@ type ProcStats struct {
 
 // Result is the outcome of a run.
 type Result struct {
-	// Elapsed is the wall-clock duration of the run (machine setup
-	// excluded).
+	// Elapsed is the wall-clock duration of the run, from launching the
+	// ranks to the last rank done; machine setup is excluded. Inboxes
+	// are armed before any rank launches, so runs need no start barrier.
 	Elapsed time.Duration
 	// Procs holds per-processor counts of the machine's local ranks in
 	// rank order: every rank, except on a tcp cluster worker, whose

@@ -30,7 +30,7 @@ func smallRun(t *testing.T) *Recorder {
 	rec := NewRecorder(0)
 	if _, err := sim.Run(nw, func(p *sim.Proc) {
 		mine := core.InitialMessageLen(spec, p.Rank(), 64)
-		core.TwoStep().Run(p, spec, mine)
+		core.RunSynced(p, core.TwoStep(), spec, mine)
 	}, sim.Options{Tracer: rec}); err != nil {
 		t.Fatal(err)
 	}

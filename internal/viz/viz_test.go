@@ -72,7 +72,7 @@ func TestTwoStepHotspotVisible(t *testing.T) {
 	payload := make([]byte, 4096)
 	if _, err := sim.Run(nw, func(pr *sim.Proc) {
 		mine := core.InitialMessage(spec, pr.Rank(), payload)
-		core.TwoStep().Run(pr, spec, mine)
+		core.RunSynced(pr, core.TwoStep(), spec, mine)
 	}, sim.Options{}); err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,9 @@ func kindSeq(events []obs.Event, p int) [][]string {
 // TestCrossEngineEventSequence runs one algorithm on the simulator, the
 // live goroutine engine and the TCP engine, and asserts all three trace
 // the same per-rank sequence of communication events — the unified event
-// model's core invariant.
+// model's core invariant. The one difference is the synchronized start:
+// the simulator opens every rank's sequence with the paper's start
+// barrier, which the real-byte engines do not run.
 func TestCrossEngineEventSequence(t *testing.T) {
 	m := stpbcast.NewParagon(2, 2)
 	cfg := stpbcast.Config{Algorithm: "Br_Lin", Distribution: "E", Sources: 2, MsgBytes: 64}
@@ -58,8 +60,8 @@ func TestCrossEngineEventSequence(t *testing.T) {
 		}
 		seq := kindSeq(rec.Events, m.P())
 		for r := range simSeq {
-			if !reflect.DeepEqual(simSeq[r], seq[r]) {
-				t.Errorf("rank %d: sim traced %v, %s traced %v", r, simSeq[r], engine, seq[r])
+			if want := append([]string{"barrier"}, seq[r]...); !reflect.DeepEqual(simSeq[r], want) {
+				t.Errorf("rank %d: sim traced %v, want the start barrier then %s's %v", r, simSeq[r], engine, seq[r])
 			}
 		}
 		// Wall clocks must be stamped and non-decreasing per rank.

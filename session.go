@@ -268,8 +268,9 @@ func Open(m *Machine, engine Engine, opts SessionOptions) (*Session, error) {
 
 // RoutesFor extracts the sparse connection plan for one configuration:
 // the directed logical links the configured algorithm's schedule uses on
-// machine m, plus the engine's dissemination-barrier links. Feed the
-// result to SessionOptions.Links to open a TCP session that dials only
+// machine m, plus the engine's dissemination-barrier links when the
+// schedule itself barriers (Repos_*). Feed the result to
+// SessionOptions.Links to open a TCP session that dials only
 // those connections — at p in the hundreds that replaces the O(p²)
 // full-mesh setup with one proportional to the algorithm's ~p·log p
 // schedule. Config.Algorithm AutoAlgorithm resolves through the planner
@@ -486,8 +487,11 @@ func Run(m *Machine, engine Engine, cfg Config, opts RunOptions) (*Result, error
 // The simulator fields (Params through NodeLoad) are populated only
 // under EngineSim; Bundles and Faults only under the real-byte engines.
 type Result struct {
-	// Elapsed is the broadcast duration: simulated makespan under
-	// EngineSim, wall clock otherwise.
+	// Elapsed is the broadcast duration: under EngineSim the simulated
+	// makespan from the paper's synchronized start (its barrier priced
+	// in); otherwise the wall clock from rank launch to the last rank
+	// done, with no start barrier — in-process ranks start from armed
+	// inboxes, cluster ranks from the StartGate.
 	Elapsed time.Duration
 	// Params are the paper's characteristic parameters of the run
 	// (EngineSim only).
@@ -524,9 +528,10 @@ func checkAlgorithmCollective(alg Algorithm, coll Collective) error {
 	return nil
 }
 
-// runSim executes one simulated collective. The simulator is
-// deterministic, so a session adds no warm state — each run builds a
-// fresh network, keeping results identical to the one-shot path.
+// runSim executes one simulated collective, timed from the paper's
+// synchronized start (core.RunSynced). The simulator is deterministic,
+// so a session adds no warm state — each run builds a fresh network,
+// keeping results identical to the one-shot path.
 func runSim(m *Machine, cfg Config, opts RunOptions) (*Result, int64, error) {
 	if opts.Faults != nil {
 		return nil, 0, errors.New("stpbcast: fault injection requires a real-byte engine (EngineLive or EngineTCP)")
@@ -569,7 +574,7 @@ func runSim(m *Machine, cfg Config, opts RunOptions) (*Result, int64, error) {
 			// rejects MsgBytesFor for them).
 			mine = core.InitialLenFor(coll, spec, pr.Rank(), cfg.MsgBytes)
 		}
-		alg.Run(pr, spec, mine)
+		core.RunSynced(pr, alg, spec, mine)
 	}, sopts)
 	if err != nil {
 		return nil, 0, err

@@ -266,7 +266,7 @@ func TestSessionKillThenReconnect(t *testing.T) {
 	defer s.Close()
 
 	_, err = s.Run(sessionCfg, stpbcast.RunOptions{
-		Faults:      &stpbcast.FaultPlan{Kills: []stpbcast.FaultKill{{Rank: 1, Op: 2}}},
+		Faults:      &stpbcast.FaultPlan{Kills: []stpbcast.FaultKill{{Rank: 1, Op: 1}}},
 		RecvTimeout: 2 * time.Second,
 	})
 	if err == nil || !strings.Contains(err.Error(), "kill") {

@@ -399,7 +399,7 @@ func TestRunOptsKillReportsRootCause(t *testing.T) {
 	payload := func(rank int) []byte { return []byte("x") }
 	opts := stpbcast.RunOptions{
 		RecvTimeout: 2 * time.Second,
-		Faults:      &stpbcast.FaultPlan{Kills: []stpbcast.FaultKill{{Rank: 3, Op: 1}}},
+		Faults:      &stpbcast.FaultPlan{Kills: []stpbcast.FaultKill{{Rank: 3, Op: 0}}},
 	}
 	for name, run := range map[string]func() (*stpbcast.LiveResult, error){
 		"live": func() (*stpbcast.LiveResult, error) { return stpbcast.RunLiveOpts(m, cfg, payload, opts) },
