@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test race chaos fuzz-seeds bench bench-baseline bench-tcp bench-tcp-baseline bench-all smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api api-check perfbench-check ci
+.PHONY: all fmt vet build test race test-386 chaos fuzz-seeds bench bench-baseline bench-tcp bench-tcp-baseline bench-all smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api api-check perfbench-check ci
 
 all: ci
 
@@ -25,6 +25,12 @@ test:
 # becomes an error; a silent-hang regression should fail fast.
 race:
 	$(GO) test -race -timeout 5m ./...
+
+# 32-bit build of the word-wise reduction kernel and the message model
+# it folds: the kernel loads words through encoding/binary, not unsafe,
+# so it must give the same bytes on a 4-byte-word target.
+test-386:
+	GOARCH=386 $(GO) test ./internal/comm/ ./internal/core/
 
 # Fault-injection and abort-path suites, plus the run-isolation suites
 # (back-to-back, overlapping and pipelined runs on one warm machine):
@@ -128,4 +134,4 @@ api-check:
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
-ci: fmt vet build race fuzz-seeds smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api-check bench-tcp perfbench-check
+ci: fmt vet build race test-386 fuzz-seeds smoke-p64 trace-smoke daemon-smoke cluster-smoke collectives-shape api-check bench-tcp perfbench-check

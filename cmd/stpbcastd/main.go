@@ -62,7 +62,7 @@ func main() {
 	}
 	fmt.Printf("stpbcastd listening on http://%s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -86,4 +86,26 @@ func main() {
 	defer cancel()
 	hs.Shutdown(ctx)
 	fmt.Println("stpbcastd: bye")
+}
+
+// Connection limits of the control plane. A client must finish its
+// request headers within readHeaderTimeout and keep them under
+// maxHeaderBytes, and an idle keep-alive connection is closed after
+// idleTimeout, so slow or silent clients cannot pin connections. Bodies
+// and responses are not time-bounded: a request runs as long as its own
+// receive deadlines allow.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer wraps h in an http.Server with the connection limits.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }

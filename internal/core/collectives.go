@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -127,34 +128,96 @@ const ReducedOrigin = -1
 // empty message stays empty — the identity contribution of a
 // non-source rank.
 func ReduceBundle(m comm.Message) comm.Message {
-	if len(m.Parts) == 0 {
-		return comm.Message{Tag: m.Tag}
+	return foldParts(m.Tag, m.Parts, nil)
+}
+
+// foldBundles is ReduceBundle(acc.Append(m)) without building the
+// joined parts slice: the per-round combine of the reduction schedules.
+func foldBundles(acc, m comm.Message) comm.Message {
+	return foldParts(acc.Tag, acc.Parts, m.Parts)
+}
+
+// foldParts folds the parts of a followed by those of b. The sum starts
+// as a copy of the first data part and every further data part is added
+// into it a word at a time (addBytes); the result is a fresh buffer that
+// aliases no input, since inputs may be bundles other ranks still hold.
+func foldParts(tag int, a, b []comm.Part) comm.Message {
+	if len(a)+len(b) == 0 {
+		return comm.Message{Tag: tag}
 	}
+	groups := [2][]comm.Part{a, b}
 	maxLen := 0
-	anyData := false
-	for _, p := range m.Parts {
-		if p.Len() > maxLen {
-			maxLen = p.Len()
-		}
-		if p.Data != nil {
-			anyData = true
+	var first []byte
+	for _, ps := range groups {
+		for _, p := range ps {
+			if p.Len() > maxLen {
+				maxLen = p.Len()
+			}
+			if first == nil && p.Data != nil {
+				first = p.Data
+			}
 		}
 	}
 	// Data and Size are mutually exclusive on a Part (engines ignore and
 	// may drop Size when Data is set), so the fold sets exactly one.
 	out := comm.Part{Origin: ReducedOrigin}
-	if anyData {
-		sum := make([]byte, maxLen)
-		for _, p := range m.Parts {
-			for i, b := range p.Data {
-				sum[i] += b
-			}
-		}
-		out.Data = sum
-	} else {
+	if first == nil {
 		out.Size = maxLen
+		return comm.Message{Tag: tag, Parts: []comm.Part{out}}
 	}
-	return comm.Message{Tag: m.Tag, Parts: []comm.Part{out}}
+	sum := make([]byte, maxLen)
+	copy(sum, first)
+	skip := true
+	for _, ps := range groups {
+		for _, p := range ps {
+			if p.Data == nil {
+				continue
+			}
+			if skip {
+				skip = false
+				continue
+			}
+			addBytes(sum, p.Data)
+		}
+	}
+	out.Data = sum
+	return comm.Message{Tag: tag, Parts: []comm.Part{out}}
+}
+
+// laneHi holds the top bit of every byte lane of a word.
+const laneHi = 0x8080808080808080
+
+// laneAdd adds a and b as eight independent byte lanes mod 256: the low
+// seven bits of each lane add without reaching the next lane, and the
+// top bit is their carry xor the two top bits.
+func laneAdd(a, b uint64) uint64 {
+	return ((a &^ laneHi) + (b &^ laneHi)) ^ ((a ^ b) & laneHi)
+}
+
+// addBytes adds src into dst byte-wise mod 256, eight bytes per step.
+// len(src) must not exceed len(dst). Words go through encoding/binary
+// rather than unsafe casts, so it is the same on every word size and
+// alignment; the compiler turns each Uint64/PutUint64 into one load or
+// store where the target allows.
+func addBytes(dst, src []byte) {
+	n := len(src)
+	dst = dst[:n]
+	le := binary.LittleEndian
+	i := 0
+	for ; i+32 <= n; i += 32 {
+		d, s := dst[i:i+32:i+32], src[i:i+32:i+32]
+		le.PutUint64(d[0:], laneAdd(le.Uint64(d[0:]), le.Uint64(s[0:])))
+		le.PutUint64(d[8:], laneAdd(le.Uint64(d[8:]), le.Uint64(s[8:])))
+		le.PutUint64(d[16:], laneAdd(le.Uint64(d[16:]), le.Uint64(s[16:])))
+		le.PutUint64(d[24:], laneAdd(le.Uint64(d[24:]), le.Uint64(s[24:])))
+	}
+	for ; i+8 <= n; i += 8 {
+		d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+		le.PutUint64(d, laneAdd(le.Uint64(d), le.Uint64(s)))
+	}
+	for ; i < n; i++ {
+		dst[i] += src[i]
+	}
 }
 
 // EncodeA2AOrigin packs an all-to-all chunk's (origin, destination) pair

@@ -34,7 +34,7 @@ func reduceTree(c comm.Comm, root int, mine comm.Message) comm.Message {
 		if rel+mask < p {
 			m := c.Recv(real(rel + mask))
 			comm.ChargeCombine(c, m.Len())
-			acc = ReduceBundle(acc.Append(m))
+			acc = foldBundles(acc, m)
 		}
 	}
 	return acc
@@ -95,7 +95,7 @@ func (allRedRecDouble) Run(c comm.Comm, spec Spec, mine comm.Message) comm.Messa
 		iter++
 		m := comm.Exchange(c, rank^dist, acc)
 		comm.ChargeCombine(c, m.Len())
-		acc = ReduceBundle(acc.Append(m))
+		acc = foldBundles(acc, m)
 	}
 	return acc
 }

@@ -82,6 +82,12 @@ func putScratch(sc *frameScratch) {
 // payloadPools[i] holds *[]byte buffers of capacity 1<<(payloadMinShift+i).
 var payloadPools [payloadMaxShift - payloadMinShift + 1]sync.Pool
 
+// payloadBoxes and partsBoxes recycle the empty *[]byte / *[]comm.Part
+// boxes the size-class pools store their slices in: a get empties its
+// box into these, a put refills one from them, so the recycle path
+// allocates nothing once the boxes exist.
+var payloadBoxes, partsBoxes sync.Pool
+
 // payloadClass returns the pool index for a payload of n bytes, or -1
 // when n is outside the pooled classes.
 func payloadClass(n int) int {
@@ -109,7 +115,10 @@ func getPayload(n int) []byte {
 		return make([]byte, n)
 	}
 	if bp, ok := payloadPools[c].Get().(*[]byte); ok {
-		return (*bp)[:n]
+		b := (*bp)[:n]
+		*bp = nil
+		payloadBoxes.Put(bp)
+		return b
 	}
 	return make([]byte, n, 1<<(payloadMinShift+c))
 }
@@ -126,8 +135,12 @@ func putPayload(b []byte) {
 	if cl < 0 || 1<<(payloadMinShift+cl) != c {
 		return
 	}
-	b = b[:0]
-	payloadPools[cl].Put(&b)
+	bp, _ := payloadBoxes.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	*bp = b[:0]
+	payloadPools[cl].Put(bp)
 }
 
 // partsPools[i] holds *[]comm.Part slices of capacity 1<<i.
@@ -162,7 +175,10 @@ func getParts(n int) []comm.Part {
 		return make([]comm.Part, 0, n)
 	}
 	if sp, ok := partsPools[c].Get().(*[]comm.Part); ok {
-		return (*sp)[:0]
+		ps := (*sp)[:0]
+		*sp = nil
+		partsBoxes.Put(sp)
+		return ps
 	}
 	return make([]comm.Part, 0, 1<<c)
 }
@@ -181,7 +197,12 @@ func putParts(s []comm.Part) {
 	for i := range s {
 		s[i] = comm.Part{}
 	}
-	partsPools[cl].Put(&s)
+	sp, _ := partsBoxes.Get().(*[]comm.Part)
+	if sp == nil {
+		sp = new([]comm.Part)
+	}
+	*sp = s[:0]
+	partsPools[cl].Put(sp)
 }
 
 // recycleMessage returns a pump-decoded message's arena storage (payload

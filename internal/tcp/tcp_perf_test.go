@@ -202,8 +202,10 @@ func TestFrameWriteAllocationFree(t *testing.T) {
 }
 
 // TestReadFrameReusesArenaBuffers pins the receive-side pooling: decode
-// and recycle in a loop must not allocate per frame once the pools are
-// warm (modulo the pool's interface boxing, absorbed by the slack).
+// and recycle in a loop must not allocate fresh buffers per frame once
+// the pools are warm. It also runs under -race, where the slack absorbs
+// the Puts sync.Pool drops at random; TestFrameReadRecycleAllocationFree
+// pins the exact 0 outside it.
 func TestReadFrameReusesArenaBuffers(t *testing.T) {
 	m := comm.Message{Tag: 3, Parts: []comm.Part{
 		{Origin: 0, Data: make([]byte, 1024)},
@@ -222,10 +224,37 @@ func TestReadFrameReusesArenaBuffers(t *testing.T) {
 	}
 	cycle()
 	// Decoding allocates payloads and a parts slice only when the pools
-	// miss; a warm decode-recycle cycle costs at most the sync.Pool
-	// bookkeeping (interface boxing on Put), never fresh buffers.
+	// miss.
 	if n := testing.AllocsPerRun(200, cycle); n > 3 {
 		t.Errorf("%v allocs per decode-recycle cycle, want <= 3", n)
+	}
+}
+
+// TestFrameReadRecycleAllocationFree pins BenchmarkFrameRead's 0
+// allocs/op: once the arena is warm, reading an 8-part frame and
+// recycling it (the stale-epoch and between-runs path) allocates
+// nothing, not even the pools' slice-header boxes.
+func TestFrameReadRecycleAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	one := appendFrame(nil, 1, largeMsg())
+	stream := bytes.NewReader(nil)
+	rd := &frameReader{r: stream, src: 0, dst: 1}
+	cycle := func() {
+		stream.Reset(one)
+		fr, _, err := rd.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fr.Parts) != 8 {
+			t.Fatalf("decoded %d parts, want 8", len(fr.Parts))
+		}
+		recycleMessage(fr)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Errorf("%v allocs per read-recycle cycle of an 8-part frame, want 0", n)
 	}
 }
 
